@@ -36,6 +36,10 @@ run_tier1() {
   cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-ci -j "$jobs"
   ctest --test-dir build-ci --output-on-failure -j "$jobs"
+  # Repeat the two tests that once depended on scheduling or timing, so an
+  # order or timing regression in them shows up before merge.
+  ctest --test-dir build-ci --output-on-failure \
+    -R '^(parallel_test|example_train_graceful_stop)$' --repeat until-fail:20
 }
 
 run_asan() {

@@ -116,6 +116,16 @@ bool stop_requested(const TrainOptions& options, int completed) {
          options.stop_requested->load(std::memory_order_relaxed);
 }
 
+/// An empty training split leaves every epoch without a step, so fit()
+/// "trains" nothing and its mean loss is 0/0 = NaN; say so once per fit.
+void warn_if_no_training_designs(const data::SuiteDataset& dataset,
+                                 const char* trainer) {
+  if (!dataset.train_ids.empty()) return;
+  TG_WARN("empty-training-split trainer=" << trainer << " designs="
+          << dataset.graphs.size()
+          << " action=train-nothing,return-nan");
+}
+
 /// In-memory rollback target for the non-finite-loss guard: the state after
 /// the most recent successful step. Capturing is plain copies, so the guard
 /// never perturbs the numerics of a healthy run.
@@ -261,6 +271,7 @@ float scheduled_lr(const TrainOptions& options, int epoch) {
 
 double TimingGnnTrainer::fit(const data::SuiteDataset& dataset) {
   TG_TRACE_SCOPE("core/train", obs::kSpanCoarse);
+  warn_if_no_training_designs(dataset, "timing-gnn");
   TelemetryStream telemetry(options_.telemetry_path, "timing-gnn");
   double mean_loss = 0.0;
   GoodState good;
@@ -411,6 +422,7 @@ NetEmbedTrainer::NetEmbedTrainer(const NetEmbedConfig& config,
 
 double NetEmbedTrainer::fit(const data::SuiteDataset& dataset) {
   TG_TRACE_SCOPE("core/train", obs::kSpanCoarse);
+  warn_if_no_training_designs(dataset, "net-embed");
   TelemetryStream telemetry(options_.telemetry_path, "net-embed");
   double mean_loss = 0.0;
   GoodState good;
@@ -518,6 +530,7 @@ const GcniiAdjacency& GcniiTrainer::adjacency_for(const data::DatasetGraph& g) {
 
 double GcniiTrainer::fit(const data::SuiteDataset& dataset) {
   TG_TRACE_SCOPE("core/train", obs::kSpanCoarse);
+  warn_if_no_training_designs(dataset, "gcnii");
   TelemetryStream telemetry(options_.telemetry_path, "gcnii");
   double mean_loss = 0.0;
   GoodState good;

@@ -6,7 +6,10 @@
 ///  - NetEmbedTrainer: the net-embedding stage standalone (Table 4),
 ///  - GcniiTrainer: the vanilla deep-GNN baseline (Table 5).
 /// All trainers run full-graph gradient steps over the training designs
-/// (the paper's setup: one graph per design, no mini-batching).
+/// (the paper's setup: one graph per design, no mini-batching). A dataset
+/// with an empty training split (e.g. only test designs) trains nothing:
+/// every fit() still counts its epochs but takes no step, logs one
+/// `empty-training-split` warning and returns NaN as the mean loss.
 
 #include <atomic>
 #include <map>
@@ -74,7 +77,8 @@ class TimingGnnTrainer {
  public:
   TimingGnnTrainer(const TimingGnnConfig& config, const TrainOptions& options);
 
-  /// Trains on dataset.train_ids; returns final mean training loss.
+  /// Trains on dataset.train_ids; returns final mean training loss (NaN,
+  /// with a warning, when train_ids is empty).
   double fit(const data::SuiteDataset& dataset);
 
   [[nodiscard]] DesignEval evaluate(const data::DatasetGraph& g);

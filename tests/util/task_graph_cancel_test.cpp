@@ -105,6 +105,9 @@ TEST_F(TaskGraphCancelTest, PreCancelledTokenStopsConeBeforeAnyWork) {
 /// Cancel while workers are actively stealing: a wide fan-out keeps every
 /// worker's deque busy, a task body trips the token mid-run, and the
 /// abort-and-drain path must stop the cone without firing the bulk of it.
+/// The trip is the first fan-out leaf to fire, whichever worker runs it:
+/// a fixed leaf (say node 1) is the root's continuation, so it can run
+/// after thieves have already drained most of the fan-out.
 TEST_F(TaskGraphCancelTest, ConeCancelDuringStealStopsWithinOneBatch) {
   const int width = 4096;
   std::vector<std::pair<int, int>> edges;
@@ -118,9 +121,11 @@ TEST_F(TaskGraphCancelTest, ConeCancelDuringStealStopsWithinOneBatch) {
   CancelSource source;
   const ScopedCancel ambient(source.token());
   std::atomic<int> fired{0};
+  std::atomic<bool> tripped{false};
   try {
     run_task_dag_cone(dag, seeds, [&](int node) {
-      if (node == 1) source.cancel();  // trip while the fan-out is draining
+      // Trip while the fan-out is draining.
+      if (node != 0 && !tripped.exchange(true)) source.cancel();
       fired.fetch_add(1);
       return true;
     });
